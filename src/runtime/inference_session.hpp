@@ -206,7 +206,6 @@ struct RobustnessCounters {
   std::uint64_t data_loss = 0;          ///< corruption detections observed
   std::uint64_t staging_faults = 0;     ///< failed staging tasks (injected
                                         ///< or real) surfaced through latches
-  std::uint64_t shutdown_rejections = 0;  ///< requests typed out at teardown
 };
 
 /// Per-variant serving statistics (one row per distinct (model, canonical
@@ -346,8 +345,10 @@ class InferenceSession {
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  /// Drains in-flight submitted work (PendingResults all complete), then
-  /// tears the session down.
+  /// Drains in-flight submitted work, then tears the session down: every
+  /// queued request runs (waiting on its model's staging latch if one is
+  /// still unresolved) and its PendingResult completes with its real
+  /// result.
   ~InferenceSession();
 
   /// A resolved backend spec: parse + canonicalize + registry-configure +
@@ -612,7 +613,6 @@ class InferenceSession {
     std::atomic<std::uint64_t> deadline_exceeded{0};
     std::atomic<std::uint64_t> data_loss{0};
     std::atomic<std::uint64_t> staging_faults{0};
-    std::atomic<std::uint64_t> shutdown_rejections{0};
   };
 
   /// One registered model's full staged-artifact state. Nodes are
@@ -696,9 +696,11 @@ class InferenceSession {
                             const RunOptions& options,
                             std::size_t worker_hint);
   /// The pooled submit task body: deadline gates (dequeue, post-staging,
-  /// between attempts), the teardown typed-error gate, and the bounded
-  /// retry loop with kDataLoss quarantine + inline restage. `image` is the
-  /// task's own copy; `enqueued` anchors the deadline.
+  /// between attempts) and the bounded retry loop with kDataLoss
+  /// quarantine + inline restage. A request queued behind a staging latch
+  /// waits on it, also during session teardown: the latch's staging task
+  /// is ahead of it in the pool's FIFO queue, so the drain resolves it.
+  /// `image` is the task's own copy; `enqueued` anchors the deadline.
   StatusOr<ExecutionResult> run_submitted(
       ModelState& model, const ExecutionBackend& backend,
       const RunOptions& options, bool repack, RetryPolicy retry,
@@ -852,10 +854,6 @@ class InferenceSession {
   /// Session-level fault injector (null = no plan); tasks capture their
   /// own shared_ptr copy at enqueue.
   std::shared_ptr<fault::Injector> session_fault_ GUARDED_BY(submit_mutex_);
-  /// Flipped at the top of ~InferenceSession: queued tasks still waiting
-  /// on an unresolved staging latch resolve their PendingResult with a
-  /// typed kUnavailable instead of racing the drain.
-  std::atomic<bool> shutting_down_{false};
   /// Shared with every installed check-in hook; see ReplayCheckinState.
   /// Set once in the constructor, immutable after — unannotated.
   std::shared_ptr<ReplayCheckinState> checkin_state_;

@@ -107,7 +107,7 @@ std::uint64_t ThreadPool::workers_reaped() const {
 }
 
 void ThreadPool::grow_if_pressured_locked() {
-  if (queue_.size() <= idle_ || live_ >= max_workers_) return;
+  if (queue_.size() <= live_ - busy_ || live_ >= max_workers_) return;
   // Reuse the slot of a retired worker when one exists, so worker ids stay
   // dense; otherwise open a new slot.
   std::size_t worker = 0;
@@ -132,7 +132,6 @@ void ThreadPool::worker_loop(std::size_t worker,
                              std::uint64_t seen_generation) {
   MutexLock lock(mutex_);
   for (;;) {
-    ++idle_;
     while (!stop_ && queue_.empty() && generation_ == seen_generation) {
       // Elastic workers (above the construction floor) arm a timed wait
       // when the reaper is enabled; any wakeup — work, a new job, or a
@@ -145,7 +144,6 @@ void ThreadPool::worker_loop(std::size_t worker,
           // Quiet period elapsed with nothing to do: retire. The handle
           // moves to retired_ under the lock, so the slot is immediately
           // reusable by growth and joins happen off this thread.
-          --idle_;
           --live_;
           ++reaped_;
           retired_.push_back(std::move(threads_[worker]));
@@ -155,7 +153,6 @@ void ThreadPool::worker_loop(std::size_t worker,
         job_ready_.wait(mutex_);
       }
     }
-    --idle_;
 
     // A pending parallel_for job takes priority over queued tasks: the
     // job's barrier waits on every worker, so none may wander off into the
@@ -166,6 +163,7 @@ void ThreadPool::worker_loop(std::size_t worker,
       const std::size_t count = count_;
       while (next_ < count) {
         const std::size_t index = next_++;
+        ++busy_;
         lock.unlock();
         std::exception_ptr thrown;
         try {
@@ -174,6 +172,7 @@ void ThreadPool::worker_loop(std::size_t worker,
           thrown = std::current_exception();
         }
         lock.lock();
+        --busy_;
         if (thrown && (error_ == nullptr || index < error_index_)) {
           error_index_ = index;
           error_ = thrown;
@@ -186,9 +185,11 @@ void ThreadPool::worker_loop(std::size_t worker,
     if (!queue_.empty()) {
       std::function<void()> task = std::move(queue_.front());
       queue_.pop_front();
+      ++busy_;
       lock.unlock();
       task();  // a packaged_task: exceptions land in its future
       lock.lock();
+      --busy_;
       continue;
     }
 

@@ -136,10 +136,13 @@ class ThreadPool {
   /// construction workers pass 0; growth workers pass the live value so
   /// they never join a job whose barrier did not count them.
   void worker_loop(std::size_t worker, std::uint64_t seen_generation);
-  /// Spawn one more worker when tasks are queued with no idle worker and
-  /// the cap allows. Reuses the slot of a retired worker when one exists.
-  /// Best-effort: spawn failures are swallowed (the queued task waits for
-  /// an existing worker instead).
+  /// Spawn one more worker when more tasks are queued than there are idle
+  /// workers and the cap allows. "Idle" means not running a task
+  /// (live_ - busy_), so a freshly spawned worker that has not parked in
+  /// the wait yet still counts as available: it takes a queued task as
+  /// soon as it reaches worker_loop. Reuses the slot of a retired worker
+  /// when one exists. Best-effort: spawn failures are swallowed (the
+  /// queued task waits for an existing worker instead).
   void grow_if_pressured_locked() REQUIRES(mutex_);
   /// Join the threads of workers that have already retired (they have left
   /// worker_loop, so the joins return promptly). Must be called without
@@ -171,8 +174,10 @@ class ThreadPool {
   std::chrono::milliseconds idle_timeout_ GUARDED_BY(mutex_){0};
   /// Workers retired by the idle reaper.
   std::uint64_t reaped_ GUARDED_BY(mutex_) = 0;
-  /// Workers parked in the wait.
-  std::size_t idle_ GUARDED_BY(mutex_) = 0;
+  /// Workers running a queued task or a parallel_for index. Every other
+  /// live worker — parked, or spawned and not yet parked — is idle and
+  /// can take a queued task, which is what growth measures against.
+  std::size_t busy_ GUARDED_BY(mutex_) = 0;
   /// Indices in the current job.
   std::size_t count_ GUARDED_BY(mutex_) = 0;
   /// Next unclaimed index.

@@ -555,11 +555,15 @@ TEST(ReplayArenas, ConcurrentPooledReplaysCheckOutAtMostOneArenaEach) {
 
   const auto& schedule = session.prepare(images[0]).replay_schedule();
   const auto& engine = schedule.engine(session.config().nvdla);
-  // Image 0 was the traced image; the other five replayed across two
-  // workers, bounded by the concurrency, not the image count.
+  // Image 0 was the traced image; the other five replayed, and the arena
+  // count is bounded by the concurrency, not the image count. `workers`
+  // sizes only the initial spawn: queue pressure may grow the pool up to
+  // `max_workers` (hardware threads), and with no idle timeout the pool
+  // never shrinks, so its final size is the peak number of workers that
+  // could each have held one arena at once.
   EXPECT_EQ(engine.images_replayed(), 5u);
   EXPECT_GE(engine.arenas_built(), 1u);
-  EXPECT_LE(engine.arenas_built(), 2u);
+  EXPECT_LE(engine.arenas_built(), session.pool_worker_count());
 }
 
 }  // namespace
